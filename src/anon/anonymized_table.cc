@@ -1,5 +1,6 @@
 #include "anon/anonymized_table.h"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -69,10 +70,19 @@ Status AnonymizedTable::WriteCsv(const std::string& path,
     out << schema.attribute(a).name << ",";
   }
   out << schema.sensitive_name() << "\n";
+  // Shortest round-trip digits: a bound printed at stream precision can
+  // round inward past the record it was built to contain.
+  char buf[64];
+  const auto put = [&](double v) {
+    out.write(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
+  };
   for (RecordId r = 0; r < num_records(); ++r) {
     const Mbr& box = BoxOf(r);
     for (size_t a = 0; a < schema.dim(); ++a) {
-      out << box.lo(a) << ".." << box.hi(a) << ",";
+      put(box.lo(a));
+      out << "..";
+      put(box.hi(a));
+      out << ",";
     }
     out << sensitive_[r] << "\n";
   }

@@ -8,11 +8,9 @@
 #include <cstring>
 
 #include "common/env.h"
-#include "common/timer.h"
 #include "common/version.h"
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
-#include "metrics/histogram.h"
 #include "net/http_parser.h"
 #include "net/http_status.h"
 
@@ -142,22 +140,9 @@ Status ParseBoundsParam(const std::string& value, size_t dim,
 }  // namespace
 
 void AppendPromMetric(std::string* out, std::string_view name,
-                      std::string_view type, double value,
-                      std::string_view labels) {
-  out->append("# TYPE ");
-  out->append(name);
-  out->append(" ");
-  out->append(type);
-  out->append("\n");
-  out->append(name);
-  if (!labels.empty()) {
-    out->append("{");
-    out->append(labels);
-    out->append("}");
-  }
-  out->append(" ");
-  out->append(FmtDoubleShort(value));
-  out->append("\n");
+                      std::string_view type, double value) {
+  *out += "# TYPE " + std::string(name) + " " + std::string(type) + "\n" +
+          std::string(name) + " " + FmtDoubleShort(value) + "\n";
 }
 
 const char* EndpointName(Endpoint endpoint) {
@@ -171,6 +156,90 @@ const char* EndpointName(Endpoint endpoint) {
     case Endpoint::kOther: return "other";
   }
   return "other";
+}
+
+Endpoint EndpointOf(std::string_view path) {
+  if (path == "/ingest") return Endpoint::kIngest;
+  if (path == "/release" || path == "/release/query") {
+    return Endpoint::kRelease;
+  }
+  if (path == "/release/dp" || path == "/release/dp/query") {
+    return Endpoint::kDp;
+  }
+  if (path == "/healthz") return Endpoint::kHealthz;
+  if (path == "/metrics") return Endpoint::kMetrics;
+  if (path == "/repl/manifest" || path == "/repl/wal" ||
+      path.rfind("/repl/checkpoint/", 0) == 0) {
+    return Endpoint::kRepl;
+  }
+  return Endpoint::kOther;
+}
+
+void AppendPromHistogram(std::string* out, std::string_view name,
+                         std::string_view labels, const BucketHistogram& h) {
+  const std::string prefix = std::string(labels) + (labels.empty() ? "" : ",");
+  uint64_t cumulative = 0;
+  for (size_t b = 0; b < BucketHistogram::kNumBuckets; ++b) {
+    cumulative += h.bucket(b);
+    const std::string le = b < BucketHistogram::kBounds.size()
+                               ? FmtDoubleShort(BucketHistogram::kBounds[b])
+                               : "+Inf";
+    *out += std::string(name) + "_bucket{" + prefix + "le=\"" + le + "\"} " +
+            std::to_string(cumulative) + "\n";
+  }
+  const std::string braced =
+      labels.empty() ? "" : "{" + std::string(labels) + "}";
+  *out += std::string(name) + "_sum" + braced + " " + FmtDoubleShort(h.sum()) +
+          "\n";
+  // The total of the bucket reads above, so _count == +Inf even while
+  // other threads keep observing.
+  *out += std::string(name) + "_count" + braced + " " +
+          std::to_string(cumulative) + "\n";
+}
+
+void RequestMetrics::Observe(Endpoint endpoint, int http_status,
+                             double latency_ms) {
+  PerEndpoint& e = endpoints_[static_cast<size_t>(endpoint)];
+  const size_t code = static_cast<size_t>(http_status);
+  e.by_code[code < kStatusCodes ? code : 0].fetch_add(
+      1, std::memory_order_relaxed);
+  e.latency_ms.Observe(latency_ms);
+}
+
+void RequestMetrics::AppendTo(std::string* out) const {
+  if (server_stats_ != nullptr) {
+    const HttpServerStats http = server_stats_();
+    const PromSample listener[] = {
+        {"kanon_http_connections_accepted_total", "counter",
+         http.connections_accepted},
+        {"kanon_http_connections_refused_total", "counter",
+         http.connections_refused},
+        {"kanon_http_open_connections", "gauge", http.open_connections},
+        {"kanon_http_parse_errors_total", "counter", http.parse_errors},
+        {"kanon_http_timeouts_total", "counter", http.timeouts},
+    };
+    AppendPromMetrics(out, listener);
+  }
+  *out += "# TYPE kanon_http_requests_total counter\n";
+  for (size_t e = 0; e < kNumEndpoints; ++e) {
+    const std::string endpoint = EndpointName(static_cast<Endpoint>(e));
+    for (size_t code = 0; code < kStatusCodes; ++code) {
+      const uint64_t n =
+          endpoints_[e].by_code[code].load(std::memory_order_relaxed);
+      if (n == 0) continue;
+      *out += "kanon_http_requests_total{endpoint=\"" + endpoint +
+              "\",code=\"" + std::to_string(code) + "\"} " +
+              std::to_string(n) + "\n";
+    }
+  }
+  *out += "# TYPE kanon_http_request_latency_ms histogram\n";
+  for (size_t e = 0; e < kNumEndpoints; ++e) {
+    const BucketHistogram& h = endpoints_[e].latency_ms;
+    if (h.count() == 0) continue;
+    const std::string endpoint = EndpointName(static_cast<Endpoint>(e));
+    AppendPromHistogram(out, "kanon_http_request_latency_ms",
+                        "endpoint=\"" + endpoint + "\"", h);
+  }
 }
 
 Status ParseRecordLine(std::string_view line, size_t dim,
@@ -259,64 +328,49 @@ AnonHttpFrontend::AnonHttpFrontend(ShardedAnonymizationService* service,
                            options_.retry_after_s}) {}
 
 HttpResponse AnonHttpFrontend::Handle(const HttpRequest& request) {
-  Timer timer;
-  Endpoint endpoint = Endpoint::kOther;
-  HttpResponse response = Route(request, &endpoint);
-  Observe(endpoint, response.status, timer.ElapsedMillis());
-  return response;
+  return requests_.Time(request, [&] { return Route(request); });
 }
 
-HttpResponse AnonHttpFrontend::Route(const HttpRequest& request,
-                                     Endpoint* endpoint) {
+HttpResponse AnonHttpFrontend::Route(const HttpRequest& request) {
   const std::string& path = request.path;
-  if (path == "/ingest") {
-    *endpoint = Endpoint::kIngest;
-    if (request.method != "POST") {
-      return HttpResponse::Json(
-          405, HttpErrorBody(Status::InvalidArgument(
-                   "POST records to /ingest (got " + request.method + ")")));
+  const Endpoint endpoint = EndpointOf(path);
+  switch (endpoint) {
+    case Endpoint::kIngest:
+      if (request.method != "POST") {
+        return HttpResponse::Json(
+            405, HttpErrorBody(Status::InvalidArgument(
+                     "POST records to /ingest (got " + request.method + ")")));
+      }
+      return HandleIngest(request);
+    case Endpoint::kRelease:
+    case Endpoint::kDp: {
+      if (request.method != "GET") {
+        return HttpResponse::Json(
+            405, HttpErrorBody(Status::InvalidArgument(
+                     "GET releases from " + path + " (got " + request.method +
+                     ")")));
+      }
+      const auto stitched = service_->CurrentStitched();
+      if (endpoint == Endpoint::kRelease) {
+        return RenderRelease(stitched.get(), request, options_.retry_after_s);
+      }
+      return path == "/release/dp" ? dp_.HandleRelease(stitched.get(), request)
+                                   : dp_.HandleQuery(stitched.get(), request);
     }
-    return HandleIngest(request);
+    case Endpoint::kHealthz:
+      return HandleHealthz();
+    case Endpoint::kMetrics:
+      return HandleMetrics();
+    case Endpoint::kRepl:
+      if (request.method != "GET") {
+        return HttpResponse::Json(
+            405, HttpErrorBody(Status::InvalidArgument(
+                     "GET " + path + " (got " + request.method + ")")));
+      }
+      return HandleRepl(request);
+    case Endpoint::kOther:
+      break;
   }
-  if (path == "/release" || path == "/release/query") {
-    *endpoint = Endpoint::kRelease;
-    if (request.method != "GET") {
-      return HttpResponse::Json(
-          405, HttpErrorBody(Status::InvalidArgument(
-                   "GET releases from " + path + " (got " + request.method +
-                   ")")));
-    }
-    return HandleRelease(request);
-  }
-  if (path == "/release/dp" || path == "/release/dp/query") {
-    *endpoint = Endpoint::kDp;
-    if (request.method != "GET") {
-      return HttpResponse::Json(
-          405, HttpErrorBody(Status::InvalidArgument(
-                   "GET releases from " + path + " (got " + request.method +
-                   ")")));
-    }
-    return HandleDp(request);
-  }
-  if (path == "/healthz") {
-    *endpoint = Endpoint::kHealthz;
-    return HandleHealthz();
-  }
-  if (path == "/metrics") {
-    *endpoint = Endpoint::kMetrics;
-    return HandleMetrics();
-  }
-  if (path == "/repl/manifest" || path == "/repl/wal" ||
-      path.rfind("/repl/checkpoint/", 0) == 0) {
-    *endpoint = Endpoint::kRepl;
-    if (request.method != "GET") {
-      return HttpResponse::Json(
-          405, HttpErrorBody(Status::InvalidArgument(
-                   "GET " + path + " (got " + request.method + ")")));
-    }
-    return HandleRepl(request);
-  }
-  *endpoint = Endpoint::kOther;
   return HttpResponse::FromStatus(
       Status::NotFound("no route for " + path +
                        " (have /ingest, /release, /release/query, "
@@ -375,19 +429,6 @@ HttpResponse AnonHttpFrontend::HandleIngest(const HttpRequest& request) {
   accepted_.fetch_add(accepted, std::memory_order_relaxed);
   return HttpResponse::Json(
       200, "{\"accepted\":" + std::to_string(accepted) + "}");
-}
-
-HttpResponse AnonHttpFrontend::HandleRelease(const HttpRequest& request) {
-  return RenderRelease(service_->CurrentStitched().get(), request,
-                       options_.retry_after_s);
-}
-
-HttpResponse AnonHttpFrontend::HandleDp(const HttpRequest& request) {
-  const auto stitched = service_->CurrentStitched();
-  if (request.path == "/release/dp") {
-    return dp_.HandleRelease(stitched.get(), request);
-  }
-  return dp_.HandleQuery(stitched.get(), request);
 }
 
 HttpResponse RenderRelease(const StitchedSnapshot* stitched,
@@ -592,19 +633,16 @@ HttpResponse DpServing::HandleQuery(const StitchedSnapshot* stitched,
 
 void DpServing::AppendMetrics(std::string* out,
                               const StitchedSnapshot* stitched) {
-  AppendPromMetric(out, "kanon_dp_budget", "gauge", ledger_.budget());
-  AppendPromMetric(out, "kanon_dp_lifetime_budget", "gauge",
-                   ledger_.lifetime_budget());
-  AppendPromMetric(out, "kanon_dp_lifetime_spent", "gauge",
-                   ledger_.LifetimeSpent());
-  AppendPromMetric(out, "kanon_dp_releases_total", "counter",
-                   static_cast<double>(ledger_.releases_built()));
-  AppendPromMetric(out, "kanon_dp_cache_hits_total", "counter",
-                   static_cast<double>(ledger_.cache_hits()));
-  AppendPromMetric(out, "kanon_dp_rejected_total", "counter",
-                   static_cast<double>(ledger_.rejected()));
-  AppendPromMetric(out, "kanon_dp_evicted_total", "counter",
-                   static_cast<double>(ledger_.evicted()));
+  const PromSample ledger[] = {
+      {"kanon_dp_budget", "gauge", ledger_.budget()},
+      {"kanon_dp_lifetime_budget", "gauge", ledger_.lifetime_budget()},
+      {"kanon_dp_lifetime_spent", "gauge", ledger_.LifetimeSpent()},
+      {"kanon_dp_releases_total", "counter", ledger_.releases_built()},
+      {"kanon_dp_cache_hits_total", "counter", ledger_.cache_hits()},
+      {"kanon_dp_rejected_total", "counter", ledger_.rejected()},
+      {"kanon_dp_evicted_total", "counter", ledger_.evicted()},
+  };
+  AppendPromMetrics(out, ledger);
   if (stitched == nullptr) return;
   const StitchedInfo& info = stitched->info();
   AppendPromMetric(out, "kanon_dp_budget_spent", "gauge",
@@ -895,83 +933,51 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
   out += "# TYPE kanon_build_info gauge\n";
   out += "kanon_build_info{version=\"" + std::string(kVersionString) +
          "\",backend=\"" + backend_label_ + "\"} 1\n";
-  AppendPromMetric(&out, "kanon_shards", "gauge",
-               static_cast<double>(service_->num_shards()));
 
-  // Serving-layer counters (aggregated across shards; per-shard series
-  // with a shard label follow below).
-  AppendPromMetric(&out, "kanon_enqueued_total", "counter",
-               static_cast<double>(stats.enqueued));
-  AppendPromMetric(&out, "kanon_rejected_total", "counter",
-               static_cast<double>(stats.rejected));
-  AppendPromMetric(&out, "kanon_inserted_total", "counter",
-               static_cast<double>(stats.inserted));
-  AppendPromMetric(&out, "kanon_batches_total", "counter",
-               static_cast<double>(stats.batches));
-  AppendPromMetric(&out, "kanon_snapshots_total", "counter",
-               static_cast<double>(stats.snapshots));
-  AppendPromMetric(&out, "kanon_queue_depth", "gauge",
-               static_cast<double>(stats.queue_depth));
-  AppendPromMetric(&out, "kanon_snapshot_age_seconds", "gauge",
-               stats.snapshot_age_s);
-  AppendPromMetric(&out, "kanon_last_snapshot_build_ms", "gauge",
-               stats.last_snapshot_build_ms);
-
-  // Durability counters (all zero without a WAL; exported regardless so
-  // dashboards need no conditional wiring).
-  AppendPromMetric(&out, "kanon_durable", "gauge", stats.durable ? 1 : 0);
-  AppendPromMetric(&out, "kanon_recovered_total", "counter",
-               static_cast<double>(stats.recovered));
-  AppendPromMetric(&out, "kanon_wal_appended_total", "counter",
-               static_cast<double>(stats.wal_appended));
-  AppendPromMetric(&out, "kanon_wal_bytes_total", "counter",
-               static_cast<double>(stats.wal_bytes));
-  AppendPromMetric(&out, "kanon_wal_syncs_total", "counter",
-               static_cast<double>(stats.wal_syncs));
-  AppendPromMetric(&out, "kanon_wal_synced_lsn", "gauge",
-               static_cast<double>(stats.wal_synced_lsn));
-  AppendPromMetric(&out, "kanon_checkpoints_total", "counter",
-               static_cast<double>(stats.checkpoints));
-  AppendPromMetric(&out, "kanon_last_checkpoint_lsn", "gauge",
-               static_cast<double>(stats.last_checkpoint_lsn));
-  AppendPromMetric(&out, "kanon_wal_retries_total", "counter",
-               static_cast<double>(stats.wal_retries));
-  AppendPromMetric(&out, "kanon_wal_recoveries_total", "counter",
-               static_cast<double>(stats.wal_recoveries));
-  AppendPromMetric(&out, "kanon_unavailable_total", "counter",
-               static_cast<double>(stats.unavailable));
-  AppendPromMetric(&out, "kanon_dropped_total", "counter",
-               static_cast<double>(stats.dropped));
-  AppendPromMetric(&out, "kanon_wal_poisoned", "gauge",
-               stats.wal_poisoned ? 1 : 0);
-
-  // Write-absorbing LSM ingest tier (all zero while the memtable is off).
-  AppendPromMetric(&out, "kanon_memtable_enabled", "gauge",
-               stats.memtable_enabled ? 1 : 0);
-  AppendPromMetric(&out, "kanon_memtable_records", "gauge",
-               static_cast<double>(stats.memtable_records));
-  AppendPromMetric(&out, "kanon_memtable_bytes", "gauge",
-               static_cast<double>(stats.memtable_bytes));
-  AppendPromMetric(&out, "kanon_merges_total", "counter",
-               static_cast<double>(stats.merges));
-  AppendPromMetric(&out, "kanon_delta_merges_total", "counter",
-               static_cast<double>(stats.delta_merges));
-  AppendPromMetric(&out, "kanon_merge_escalations_total", "counter",
-               static_cast<double>(stats.merge_escalations));
-  AppendPromMetric(&out, "kanon_last_merge_ms", "gauge", stats.last_merge_ms);
-  AppendPromMetric(&out, "kanon_merge_ms_total", "counter",
-               stats.merge_ms_total);
-  AppendPromMetric(&out, "kanon_snapshot_build_ms_total", "counter",
-               stats.snapshot_build_ms_total);
-  AppendPromMetric(&out, "kanon_fragments_reused_total", "counter",
-               static_cast<double>(stats.fragments_reused));
-  AppendPromMetric(&out, "kanon_fragments_built_total", "counter",
-               static_cast<double>(stats.fragments_built));
-  // Ingest-thread time attribution: what the memtable actually absorbs.
-  AppendPromMetric(&out, "kanon_ingest_queue_wait_ms_total", "counter",
-               stats.queue_wait_ms);
-  AppendPromMetric(&out, "kanon_ingest_apply_ms_total", "counter",
-               stats.apply_ms);
+  // Serving-layer, durability and LSM-tier series, aggregated across
+  // shards (per-shard series with a shard label follow below). The
+  // durability and LSM ones read zero without a WAL or memtable and are
+  // exported regardless, so dashboards need no conditional wiring.
+  const PromSample aggregate[] = {
+      {"kanon_shards", "gauge", service_->num_shards()},
+      {"kanon_enqueued_total", "counter", stats.enqueued},
+      {"kanon_rejected_total", "counter", stats.rejected},
+      {"kanon_inserted_total", "counter", stats.inserted},
+      {"kanon_batches_total", "counter", stats.batches},
+      {"kanon_snapshots_total", "counter", stats.snapshots},
+      {"kanon_queue_depth", "gauge", stats.queue_depth},
+      {"kanon_snapshot_age_seconds", "gauge", stats.snapshot_age_s},
+      {"kanon_last_snapshot_build_ms", "gauge", stats.last_snapshot_build_ms},
+      {"kanon_durable", "gauge", stats.durable},
+      {"kanon_recovered_total", "counter", stats.recovered},
+      {"kanon_wal_appended_total", "counter", stats.wal_appended},
+      {"kanon_wal_bytes_total", "counter", stats.wal_bytes},
+      {"kanon_wal_syncs_total", "counter", stats.wal_syncs},
+      {"kanon_wal_synced_lsn", "gauge", stats.wal_synced_lsn},
+      {"kanon_checkpoints_total", "counter", stats.checkpoints},
+      {"kanon_last_checkpoint_lsn", "gauge", stats.last_checkpoint_lsn},
+      {"kanon_wal_retries_total", "counter", stats.wal_retries},
+      {"kanon_wal_recoveries_total", "counter", stats.wal_recoveries},
+      {"kanon_unavailable_total", "counter", stats.unavailable},
+      {"kanon_dropped_total", "counter", stats.dropped},
+      {"kanon_wal_poisoned", "gauge", stats.wal_poisoned},
+      {"kanon_memtable_enabled", "gauge", stats.memtable_enabled},
+      {"kanon_memtable_records", "gauge", stats.memtable_records},
+      {"kanon_memtable_bytes", "gauge", stats.memtable_bytes},
+      {"kanon_merges_total", "counter", stats.merges},
+      {"kanon_delta_merges_total", "counter", stats.delta_merges},
+      {"kanon_merge_escalations_total", "counter", stats.merge_escalations},
+      {"kanon_last_merge_ms", "gauge", stats.last_merge_ms},
+      {"kanon_merge_ms_total", "counter", stats.merge_ms_total},
+      {"kanon_snapshot_build_ms_total", "counter",
+       stats.snapshot_build_ms_total},
+      {"kanon_fragments_reused_total", "counter", stats.fragments_reused},
+      {"kanon_fragments_built_total", "counter", stats.fragments_built},
+      // Ingest-thread time attribution: what the memtable actually absorbs.
+      {"kanon_ingest_queue_wait_ms_total", "counter", stats.queue_wait_ms},
+      {"kanon_ingest_apply_ms_total", "counter", stats.apply_ms},
+  };
+  AppendPromMetrics(&out, aggregate);
 
   // Differentially private release subsystem: ledger counters plus the
   // per-release-point utility pair (k-anon vs DP range-query error).
@@ -1006,6 +1012,7 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
        &ServiceStats::memtable_records},
       {"kanon_shard_memtable_bytes", "gauge", &ServiceStats::memtable_bytes},
       {"kanon_shard_merges_total", "counter", &ServiceStats::merges},
+      {"kanon_shard_queue_depth", "gauge", &ServiceStats::queue_depth},
   };
   for (const PerShardSeries& series : kPerShard) {
     out += "# TYPE " + std::string(series.name) + " " + series.type + "\n";
@@ -1013,11 +1020,6 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
       out += std::string(series.name) + "{shard=\"" + std::to_string(i) +
              "\"} " + std::to_string(sharded.shards[i].*series.field) + "\n";
     }
-  }
-  out += "# TYPE kanon_shard_queue_depth gauge\n";
-  for (size_t i = 0; i < sharded.shards.size(); ++i) {
-    out += "kanon_shard_queue_depth{shard=\"" + std::to_string(i) + "\"} " +
-           std::to_string(sharded.shards[i].queue_depth) + "\n";
   }
   out += "# TYPE kanon_shard_degraded gauge\n";
   for (size_t i = 0; i < sharded.shards.size(); ++i) {
@@ -1028,111 +1030,22 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
   }
 
   // Merge-duration distribution, one histogram per shard (each shard's
-  // single-writer thread merges independently, so mixing their samples
-  // would blur exactly the signal the label preserves). Buckets come from
-  // the shard's bounded sample ring; _count is the ring's exact size while
-  // _sum is reconstructed from bucket midpoints (the ring keeps no total).
+  // single-writer thread merges independently, so mixing their durations
+  // would blur exactly the signal the label preserves).
   out += "# TYPE kanon_merge_duration_ms histogram\n";
   for (size_t i = 0; i < sharded.shards.size(); ++i) {
-    const ServiceStats& s = sharded.shards[i];
-    if (s.merge_samples == 0) continue;
-    const std::string shard_label = "shard=\"" + std::to_string(i) + "\"";
-    const Histogram& hist = s.merge_duration_ms;
-    const double n = static_cast<double>(s.merge_samples);
-    double cumulative = 0.0;
-    double sum = 0.0;
-    for (size_t b = 0; b < hist.num_bins(); ++b) {
-      cumulative += hist.mass[b] * n;
-      const double le =
-          hist.lo + hist.BinWidth() * static_cast<double>(b + 1);
-      sum += hist.mass[b] * n * (le - hist.BinWidth() / 2.0);
-      out += "kanon_merge_duration_ms_bucket{" + shard_label + ",le=\"" +
-             FmtDoubleShort(le) + "\"} " +
-             std::to_string(static_cast<uint64_t>(cumulative + 0.5)) + "\n";
-    }
-    out += "kanon_merge_duration_ms_bucket{" + shard_label +
-           ",le=\"+Inf\"} " + std::to_string(s.merge_samples) + "\n";
-    out += "kanon_merge_duration_ms_sum{" + shard_label + "} " +
-           FmtDoubleShort(sum) + "\n";
-    out += "kanon_merge_duration_ms_count{" + shard_label + "} " +
-           std::to_string(s.merge_samples) + "\n";
+    const BucketHistogram& h = sharded.shards[i].merge_duration_ms;
+    if (h.count() == 0) continue;
+    AppendPromHistogram(&out, "kanon_merge_duration_ms",
+                        "shard=\"" + std::to_string(i) + "\"", h);
   }
-
-  // Listener counters, when the server wired itself in.
-  if (server_stats_ != nullptr) {
-    const HttpServerStats http = server_stats_();
-    AppendPromMetric(&out, "kanon_http_connections_accepted_total", "counter",
-                 static_cast<double>(http.connections_accepted));
-    AppendPromMetric(&out, "kanon_http_connections_refused_total", "counter",
-                 static_cast<double>(http.connections_refused));
-    AppendPromMetric(&out, "kanon_http_open_connections", "gauge",
-                 static_cast<double>(http.open_connections));
-    AppendPromMetric(&out, "kanon_http_parse_errors_total", "counter",
-                 static_cast<double>(http.parse_errors));
-    AppendPromMetric(&out, "kanon_http_timeouts_total", "counter",
-                 static_cast<double>(http.timeouts));
-  }
-
-  // Per-endpoint request counts and latency distribution. The histogram is
-  // built from the bounded sample ring via metrics/histogram's equi-width
-  // SampleHistogram, rendered cumulatively the Prometheus way.
-  out += "# TYPE kanon_http_requests_total counter\n";
-  for (size_t e = 0; e < kNumEndpoints; ++e) {
-    EndpointMetrics& em = metrics_[e];
-    std::lock_guard<std::mutex> lock(em.mu);
-    for (const auto& [code, count] : em.by_code) {
-      out += "kanon_http_requests_total{endpoint=\"" +
-             std::string(EndpointName(static_cast<Endpoint>(e))) +
-             "\",code=\"" + std::to_string(code) + "\"} " +
-             std::to_string(count) + "\n";
-    }
-  }
-  out += "# TYPE kanon_http_request_latency_ms histogram\n";
-  for (size_t e = 0; e < kNumEndpoints; ++e) {
-    EndpointMetrics& em = metrics_[e];
-    std::lock_guard<std::mutex> lock(em.mu);
-    if (em.count == 0) continue;
-    const std::string label =
-        std::string(EndpointName(static_cast<Endpoint>(e)));
-    const Histogram hist =
-        SampleHistogram(em.latencies_ms, options_.latency_bins);
-    const double n = static_cast<double>(em.latencies_ms.size());
-    double cumulative = 0.0;
-    for (size_t b = 0; b < hist.num_bins(); ++b) {
-      cumulative += hist.mass[b] * n;
-      const double le = hist.lo + hist.BinWidth() * static_cast<double>(b + 1);
-      out += "kanon_http_request_latency_ms_bucket{endpoint=\"" + label +
-             "\",le=\"" + FmtDoubleShort(le) + "\"} " +
-             std::to_string(static_cast<uint64_t>(cumulative + 0.5)) + "\n";
-    }
-    out += "kanon_http_request_latency_ms_bucket{endpoint=\"" + label +
-           "\",le=\"+Inf\"} " + std::to_string(em.latencies_ms.size()) + "\n";
-    out += "kanon_http_request_latency_ms_sum{endpoint=\"" + label + "\"} " +
-           FmtDoubleShort(em.sum_ms) + "\n";
-    out += "kanon_http_request_latency_ms_count{endpoint=\"" + label +
-           "\"} " + std::to_string(em.count) + "\n";
-  }
+  requests_.AppendTo(&out);
 
   HttpResponse resp;
   resp.status = 200;
   resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
   resp.body = std::move(out);
   return resp;
-}
-
-void AnonHttpFrontend::Observe(Endpoint endpoint, int http_status,
-                               double latency_ms) {
-  EndpointMetrics& em = metrics_[static_cast<size_t>(endpoint)];
-  std::lock_guard<std::mutex> lock(em.mu);
-  ++em.by_code[http_status];
-  ++em.count;
-  em.sum_ms += latency_ms;
-  if (em.latencies_ms.size() < options_.latency_samples) {
-    em.latencies_ms.push_back(latency_ms);
-  } else if (!em.latencies_ms.empty()) {
-    em.latencies_ms[em.next] = latency_ms;
-    em.next = (em.next + 1) % em.latencies_ms.size();
-  }
 }
 
 }  // namespace kanon::net

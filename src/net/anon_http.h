@@ -2,21 +2,24 @@
 #define KANON_NET_ANON_HTTP_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/bucket_histogram.h"
+#include "common/timer.h"
 #include "dp/dp_ledger.h"
 #include "net/http_server.h"
 #include "shard/sharded_service.h"
 
 namespace kanon::net {
 
-/// Endpoint families the front-end tracks metrics for.
+/// Endpoint families the front-ends track metrics for.
 enum class Endpoint : size_t {
   kIngest = 0,
   kRelease,
@@ -28,14 +31,46 @@ enum class Endpoint : size_t {
 };
 constexpr size_t kNumEndpoints = 7;
 const char* EndpointName(Endpoint endpoint);
+/// The endpoint family a request path belongs to, on either role.
+Endpoint EndpointOf(std::string_view path);
+
+/// Request accounting shared by the leader and the follower frontends:
+/// counts by {endpoint, code} and a fixed-bucket latency histogram per
+/// endpoint, all plain atomic adds on the request path. Both roles render
+/// it through AppendTo, so their /metrics carry the same series.
+class RequestMetrics {
+ public:
+  /// Runs `route` and records its response under the request's endpoint.
+  template <typename Route>
+  HttpResponse Time(const HttpRequest& request, Route&& route) {
+    Timer timer;
+    HttpResponse response = route();
+    Observe(EndpointOf(request.path), response.status, timer.ElapsedMillis());
+    return response;
+  }
+  void Observe(Endpoint endpoint, int http_status, double latency_ms);
+
+  /// Lets AppendTo include listener-level counters. Set before the server
+  /// starts taking traffic.
+  void SetServerStats(std::function<HttpServerStats()> fn) {
+    server_stats_ = std::move(fn);
+  }
+
+  /// Appends the listener counters (when wired), kanon_http_requests_total
+  /// {endpoint,code} and kanon_http_request_latency_ms{endpoint}.
+  void AppendTo(std::string* out) const;
+
+ private:
+  static constexpr size_t kStatusCodes = 600;  // HTTP codes are 100..599
+  struct PerEndpoint {
+    std::array<std::atomic<uint64_t>, kStatusCodes> by_code{};
+    BucketHistogram latency_ms;
+  };
+  std::array<PerEndpoint, kNumEndpoints> endpoints_;
+  std::function<HttpServerStats()> server_stats_;
+};
 
 struct AnonHttpOptions {
-  /// Per-endpoint latency reservoir (a ring of the most recent samples;
-  /// bounds memory on a long-running server while keeping the histogram
-  /// representative of current traffic).
-  size_t latency_samples = 8192;
-  /// Buckets rendered per endpoint in the /metrics latency histogram.
-  size_t latency_bins = 12;
   /// Advisory Retry-After (seconds) attached to 429/503 ingest responses.
   unsigned retry_after_s = 1;
   /// Env for the replication endpoints' reads of WAL segments and
@@ -170,8 +205,8 @@ class DpServing {
 ///   GET  /metrics          Prometheus text exposition: aggregate
 ///                          ServiceStats and durability counters, per-shard
 ///                          series with a shard label, kanon_build_info,
-///                          queue depth, listener stats and per-endpoint
-///                          latency histograms (built on metrics/histogram).
+///                          queue depth, per-shard merge-duration
+///                          histograms and the RequestMetrics series.
 ///   GET  /repl/manifest    Replication bootstrap metadata for one shard
 ///                          (?shard=i, default 0): checkpoint manifest,
 ///                          durable (fsynced) LSN horizon and the current
@@ -206,7 +241,7 @@ class AnonHttpFrontend {
   /// Optional: lets /metrics include listener-level counters. Set before
   /// the server starts taking traffic.
   void SetServerStats(std::function<HttpServerStats()> fn) {
-    server_stats_ = std::move(fn);
+    requests_.SetServerStats(std::move(fn));
   }
 
   /// Event backend label for kanon_build_info ("epoll" / "poll"). Set
@@ -225,19 +260,8 @@ class AnonHttpFrontend {
   const DpBudgetLedger& dp_ledger() const { return dp_.ledger(); }
 
  private:
-  struct EndpointMetrics {
-    std::mutex mu;
-    std::vector<double> latencies_ms;  // ring, bounded by latency_samples
-    size_t next = 0;
-    double sum_ms = 0.0;
-    uint64_t count = 0;
-    std::map<int, uint64_t> by_code;
-  };
-
-  HttpResponse Route(const HttpRequest& request, Endpoint* endpoint);
+  HttpResponse Route(const HttpRequest& request);
   HttpResponse HandleIngest(const HttpRequest& request);
-  HttpResponse HandleRelease(const HttpRequest& request);
-  HttpResponse HandleDp(const HttpRequest& request);
   HttpResponse HandleHealthz();
   HttpResponse HandleMetrics();
   HttpResponse HandleRepl(const HttpRequest& request);
@@ -247,15 +271,13 @@ class AnonHttpFrontend {
                                     const std::string& path, Env* env);
   HttpResponse HandleReplWal(const HttpRequest& request,
                              const std::string& dir, size_t shard, Env* env);
-  void Observe(Endpoint endpoint, int http_status, double latency_ms);
 
   ShardedAnonymizationService* const service_;
   const AnonHttpOptions options_;
   DpServing dp_;
-  std::function<HttpServerStats()> server_stats_;
+  RequestMetrics requests_;
   std::string backend_label_ = "inproc";
   std::atomic<uint64_t> accepted_{0};
-  std::array<EndpointMetrics, kNumEndpoints> metrics_;
 };
 
 /// Parses one ingest line — a JSON array "[1, 2.5, 3]" or bare CSV
@@ -278,11 +300,34 @@ std::string PartitionsJson(const PartitionSet& ps, bool with_rids);
 HttpResponse RenderRelease(const StitchedSnapshot* stitched,
                            const HttpRequest& request, unsigned retry_after_s);
 
-/// Appends one `# TYPE` + sample line in the Prometheus text exposition.
-/// Shared by the leader's /metrics and the follower's.
+/// Appends one `# TYPE` + sample line in the Prometheus text exposition,
+/// for a family of exactly one unlabeled sample. Shared by the leader's
+/// /metrics and the follower's.
 void AppendPromMetric(std::string* out, std::string_view name,
-                      std::string_view type, double value,
-                      std::string_view labels = "");
+                      std::string_view type, double value);
+
+/// One unlabeled sample of any arithmetic value; AppendPromMetrics writes
+/// a list of them.
+struct PromSample {
+  template <typename T>
+  PromSample(const char* name, const char* type, T value)
+      : name(name), type(type), value(static_cast<double>(value)) {}
+  const char* name;
+  const char* type;
+  double value;
+};
+inline void AppendPromMetrics(std::string* out,
+                              std::span<const PromSample> samples) {
+  for (const PromSample& s : samples) {
+    AppendPromMetric(out, s.name, s.type, s.value);
+  }
+}
+
+/// Appends the cumulative `_bucket` lines (every fixed bound, then +Inf),
+/// `_sum` and `_count` of one histogram label set; `labels` is "" or
+/// `key="value",...`. The caller writes the family's single `# TYPE` line.
+void AppendPromHistogram(std::string* out, std::string_view name,
+                         std::string_view labels, const BucketHistogram& h);
 
 }  // namespace kanon::net
 

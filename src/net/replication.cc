@@ -420,23 +420,12 @@ std::string StalenessValue(double staleness_ms) {
 }  // namespace
 
 HttpResponse FollowerFrontend::Handle(const HttpRequest& request) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  const std::string& path = request.path;
-  if (path == "/release" || path == "/release/query") {
-    if (request.method != "GET" && request.method != "HEAD") {
-      return HttpResponse::Json(
-          405, "{\"error\":\"method not allowed\",\"allow\":\"GET\"}");
-    }
-    return HandleReadRelease(request);
-  }
-  if (path == "/release/dp" || path == "/release/dp/query") {
-    if (request.method != "GET" && request.method != "HEAD") {
-      return HttpResponse::Json(
-          405, "{\"error\":\"method not allowed\",\"allow\":\"GET\"}");
-    }
-    return HandleDpRead(request);
-  }
-  if (path == "/ingest") {
+  return requests_.Time(request, [&] { return Route(request); });
+}
+
+HttpResponse FollowerFrontend::Route(const HttpRequest& request) {
+  const Endpoint endpoint = EndpointOf(request.path);
+  if (endpoint == Endpoint::kIngest) {
     // A replica never takes writes; 421 tells a misconfigured client which
     // server does. (308 would make well-behaved clients resubmit there
     // transparently, but silently rerouting PII ingestion is worse than
@@ -451,24 +440,22 @@ HttpResponse FollowerFrontend::Handle(const HttpRequest& request) {
                         "/ingest");
     return resp;
   }
-  if (path == "/healthz") {
-    if (request.method != "GET" && request.method != "HEAD") {
-      return HttpResponse::Json(
-          405, "{\"error\":\"method not allowed\",\"allow\":\"GET\"}");
-    }
-    return HandleHealthz();
+  if (endpoint == Endpoint::kRepl || endpoint == Endpoint::kOther) {
+    return HttpResponse::Json(
+        404,
+        "{\"error\":\"not found\",\"paths\":[\"/release\",\"/release/query\","
+        "\"/release/dp\",\"/release/dp/query\",\"/healthz\",\"/metrics\"]}");
   }
-  if (path == "/metrics") {
-    if (request.method != "GET" && request.method != "HEAD") {
-      return HttpResponse::Json(
-          405, "{\"error\":\"method not allowed\",\"allow\":\"GET\"}");
-    }
-    return HandleMetrics();
+  if (request.method != "GET" && request.method != "HEAD") {
+    return HttpResponse::Json(
+        405, "{\"error\":\"method not allowed\",\"allow\":\"GET\"}");
   }
-  return HttpResponse::Json(
-      404,
-      "{\"error\":\"not found\",\"paths\":[\"/release\",\"/release/query\","
-      "\"/release/dp\",\"/release/dp/query\",\"/healthz\",\"/metrics\"]}");
+  switch (endpoint) {
+    case Endpoint::kRelease:
+    case Endpoint::kDp: return HandleRead(request);
+    case Endpoint::kHealthz: return HandleHealthz();
+    default: return HandleMetrics();
+  }
 }
 
 std::unique_ptr<HttpResponse> FollowerFrontend::StaleRejection(
@@ -487,25 +474,17 @@ std::unique_ptr<HttpResponse> FollowerFrontend::StaleRejection(
   return resp;
 }
 
-HttpResponse FollowerFrontend::HandleReadRelease(const HttpRequest& request) {
-  const FollowerCore* core = follower_->core();
-  const double staleness = core->staleness_ms();
-  if (auto rejection = StaleRejection(staleness)) return *rejection;
-  HttpResponse resp = RenderRelease(core->CurrentStitched().get(), request,
-                                    follower_->options().retry_after_s);
-  resp.headers.emplace_back("X-Kanon-Staleness-Ms",
-                            StalenessValue(staleness));
-  return resp;
-}
-
-HttpResponse FollowerFrontend::HandleDpRead(const HttpRequest& request) {
+HttpResponse FollowerFrontend::HandleRead(const HttpRequest& request) {
   const FollowerCore* core = follower_->core();
   const double staleness = core->staleness_ms();
   if (auto rejection = StaleRejection(staleness)) return *rejection;
   const auto stitched = core->CurrentStitched();
-  HttpResponse resp = request.path == "/release/dp"
-                          ? dp_.HandleRelease(stitched.get(), request)
-                          : dp_.HandleQuery(stitched.get(), request);
+  HttpResponse resp =
+      request.path == "/release/dp" ? dp_.HandleRelease(stitched.get(), request)
+      : request.path == "/release/dp/query"
+          ? dp_.HandleQuery(stitched.get(), request)
+          : RenderRelease(stitched.get(), request,
+                          follower_->options().retry_after_s);
   resp.headers.emplace_back("X-Kanon-Staleness-Ms",
                             StalenessValue(staleness));
   return resp;
@@ -541,41 +520,30 @@ HttpResponse FollowerFrontend::HandleMetrics() {
   const ReplState state = follower_->state();
   std::string out;
   out.reserve(4096);
+  out += "# TYPE kanon_repl_state gauge\n";
   for (int i = 0; i < kNumReplStates; ++i) {
-    AppendPromMetric(&out, "kanon_repl_state", "gauge",
-                     state == static_cast<ReplState>(i) ? 1 : 0,
-                     "state=\"" +
-                         std::string(ReplStateName(
-                             static_cast<ReplState>(i))) +
-                         "\"");
+    const auto s = static_cast<ReplState>(i);
+    out += "kanon_repl_state{state=\"" + std::string(ReplStateName(s)) +
+           "\"} " + (state == s ? "1" : "0") + "\n";
   }
-  AppendPromMetric(&out, "kanon_repl_lag_lsn", "gauge",
-                   static_cast<double>(follower_->lag_lsn()));
   const double staleness = core->staleness_ms();
-  AppendPromMetric(&out, "kanon_repl_lag_ms", "gauge",
-                   std::isfinite(staleness) ? staleness : -1);
-  AppendPromMetric(&out, "kanon_repl_reconnects_total", "counter",
-                   static_cast<double>(follower_->reconnects()));
-  AppendPromMetric(&out, "kanon_repl_bootstraps_total", "counter",
-                   static_cast<double>(core->bootstraps()));
-  AppendPromMetric(&out, "kanon_repl_batches_total", "counter",
-                   static_cast<double>(follower_->batches()));
-  AppendPromMetric(&out, "kanon_repl_bytes_total", "counter",
-                   static_cast<double>(follower_->bytes_total()));
-  AppendPromMetric(&out, "kanon_repl_applied_lsn", "gauge",
-                   static_cast<double>(core->applied_lsn()));
-  AppendPromMetric(&out, "kanon_repl_epoch", "gauge",
-                   static_cast<double>(core->epoch()));
-  AppendPromMetric(&out, "kanon_repl_leader_epoch", "gauge",
-                   static_cast<double>(follower_->leader_epoch()));
-  AppendPromMetric(&out, "kanon_follower_records", "gauge",
-                   static_cast<double>(core->records()));
-  AppendPromMetric(&out, "kanon_follower_requests_total", "counter",
-                   static_cast<double>(
-                       requests_.load(std::memory_order_relaxed)));
+  const PromSample repl[] = {
+      {"kanon_repl_lag_lsn", "gauge", follower_->lag_lsn()},
+      {"kanon_repl_lag_ms", "gauge", std::isfinite(staleness) ? staleness : -1},
+      {"kanon_repl_reconnects_total", "counter", follower_->reconnects()},
+      {"kanon_repl_bootstraps_total", "counter", core->bootstraps()},
+      {"kanon_repl_batches_total", "counter", follower_->batches()},
+      {"kanon_repl_bytes_total", "counter", follower_->bytes_total()},
+      {"kanon_repl_applied_lsn", "gauge", core->applied_lsn()},
+      {"kanon_repl_epoch", "gauge", core->epoch()},
+      {"kanon_repl_leader_epoch", "gauge", follower_->leader_epoch()},
+      {"kanon_follower_records", "gauge", core->records()},
+  };
+  AppendPromMetrics(&out, repl);
   // DP serving: ledger counters + the per-release-point utility pair, same
   // series names as the leader so one dashboard covers both roles.
   dp_.AppendMetrics(&out, core->CurrentStitched().get());
+  requests_.AppendTo(&out);
   HttpResponse resp;
   resp.status = 200;
   resp.content_type = "text/plain; version=0.0.4";

@@ -252,7 +252,8 @@ class ReplicatedFollower {
 ///         disconnected.
 ///   GET  /metrics  kanon_repl_* series: one-hot state, lag in LSNs and
 ///         ms, reconnect/bootstrap/batch/byte counters, applied LSN and
-///         published epoch.
+///         published epoch; the kanon_dp_* series and the leader's
+///         RequestMetrics series (kanon_http_*), rendered by the same code.
 class FollowerFrontend {
  public:
   explicit FollowerFrontend(ReplicatedFollower* follower)
@@ -265,9 +266,16 @@ class FollowerFrontend {
 
   HttpResponse Handle(const HttpRequest& request);
 
+  /// Optional: lets /metrics include listener-level counters. Set before
+  /// the server starts taking traffic.
+  void SetServerStats(std::function<HttpServerStats()> fn) {
+    requests_.SetServerStats(std::move(fn));
+  }
+
  private:
-  HttpResponse HandleReadRelease(const HttpRequest& request);
-  HttpResponse HandleDpRead(const HttpRequest& request);
+  HttpResponse Route(const HttpRequest& request);
+  /// /release* and /release/dp* off the current snapshot, staleness-gated.
+  HttpResponse HandleRead(const HttpRequest& request);
   HttpResponse HandleHealthz();
   HttpResponse HandleMetrics();
   /// Non-null when the staleness policy forbids serving this read.
@@ -275,7 +283,7 @@ class FollowerFrontend {
 
   ReplicatedFollower* const follower_;
   DpServing dp_;
-  std::atomic<uint64_t> requests_{0};
+  RequestMetrics requests_;
 };
 
 }  // namespace kanon::net

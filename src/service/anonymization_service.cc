@@ -166,23 +166,18 @@ ServiceStats AnonymizationService::Stats() const {
       build_ms_total_.load(std::memory_order_relaxed);
   stats.fragments_reused = fragments_reused_.load(std::memory_order_relaxed);
   stats.fragments_built = fragments_built_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(samples_mu_);
-    stats.batch_sizes = SampleHistogram(batch_samples_, 16);
-    stats.merge_duration_ms = SampleHistogram(merge_samples_, 16);
-    stats.merge_samples = merge_samples_.size();
-  }
   stats.queue_wait_ms = queue_wait_ms_.load(std::memory_order_relaxed);
   stats.apply_ms = apply_ms_.load(std::memory_order_relaxed);
   stats.memtable_enabled = memtable_ != nullptr;
   stats.memtable_records = memtable_records_.load(std::memory_order_relaxed);
   stats.memtable_bytes = memtable_bytes_.load(std::memory_order_relaxed);
-  stats.merges = merges_.load(std::memory_order_relaxed);
+  stats.merge_duration_ms = merge_duration_ms_;
+  stats.merges = stats.merge_duration_ms.count();
+  stats.merge_ms_total = stats.merge_duration_ms.sum();
   stats.delta_merges = delta_merges_.load(std::memory_order_relaxed);
   stats.merge_escalations =
       merge_escalations_.load(std::memory_order_relaxed);
   stats.last_merge_ms = last_merge_ms_.load(std::memory_order_relaxed);
-  stats.merge_ms_total = merge_ms_total_.load(std::memory_order_relaxed);
   if (const auto snapshot = CurrentSnapshot()) {
     stats.snapshot_age_s = snapshot->info().AgeSeconds();
   }
@@ -334,10 +329,6 @@ void AnonymizationService::ApplyBatch(const IngestBatch& batch) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   since_snapshot_ += logged;
   since_checkpoint_ += logged;
-  std::lock_guard<std::mutex> lock(samples_mu_);
-  if (batch_samples_.size() < kMaxBatchSamples) {
-    batch_samples_.push_back(static_cast<double>(logged));
-  }
 }
 
 Status AnonymizationService::AppendWithRetry(uint64_t lsn,
@@ -399,12 +390,8 @@ bool AnonymizationService::MaybeMerge(bool force) {
   const double ms = timer.ElapsedMillis();
   memtable_records_.store(0, std::memory_order_relaxed);
   memtable_bytes_.store(0, std::memory_order_relaxed);
-  merges_.fetch_add(1, std::memory_order_relaxed);
   last_merge_ms_.store(ms, std::memory_order_relaxed);
-  merge_ms_total_.store(merge_ms_total_.load(std::memory_order_relaxed) + ms,
-                        std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(samples_mu_);
-  if (merge_samples_.size() < kMaxBatchSamples) merge_samples_.push_back(ms);
+  merge_duration_ms_.Observe(ms);
   return true;
 }
 

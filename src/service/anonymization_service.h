@@ -282,11 +282,10 @@ class AnonymizationService {
   bool merged_since_publish_ = false;
   std::atomic<uint64_t> memtable_records_{0};
   std::atomic<uint64_t> memtable_bytes_{0};
-  std::atomic<uint64_t> merges_{0};
   std::atomic<uint64_t> delta_merges_{0};
   std::atomic<uint64_t> merge_escalations_{0};
   std::atomic<double> last_merge_ms_{0.0};
-  std::atomic<double> merge_ms_total_{0.0};
+  BucketHistogram merge_duration_ms_;  // also the merge count and total
 
   // Per-leaf release-fragment cache (ingest thread only), keyed by leaf
   // node identity. Valid because in LSM mode the tree mutates only through
@@ -334,14 +333,6 @@ class AnonymizationService {
   std::atomic<uint64_t> snapshots_{0};
   std::atomic<double> last_build_ms_{0.0};
   std::atomic<double> build_ms_total_{0.0};
-
-  // Batch-size / merge-duration samples for the histograms, capped so a
-  // long-running service cannot grow them unboundedly (counters keep exact
-  // totals regardless).
-  static constexpr size_t kMaxBatchSamples = 1 << 16;
-  mutable std::mutex samples_mu_;
-  std::vector<double> batch_samples_;
-  std::vector<double> merge_samples_;
 
   // Ingest-thread time split (written by the ingest thread only; the
   // load+store is not a race because there is exactly one writer).

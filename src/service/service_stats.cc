@@ -23,12 +23,7 @@ std::string FormatServiceStats(const ServiceStats& stats) {
      << " queued=" << stats.queue_depth << "\n";
   os << "batches: count=" << stats.batches << " mean_size=";
   os.precision(1);
-  os << std::fixed << stats.mean_batch();
-  if (!stats.batch_sizes.mass.empty()) {
-    os << " size_range=[" << stats.batch_sizes.lo << ", "
-       << stats.batch_sizes.hi << "]";
-  }
-  os << "\n";
+  os << std::fixed << stats.mean_batch() << "\n";
   os.precision(2);
   os << "ingest_thread: queue_wait_ms=" << stats.queue_wait_ms
      << " apply_ms=" << stats.apply_ms

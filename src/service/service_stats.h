@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <string>
 
-#include "metrics/histogram.h"
+#include "common/bucket_histogram.h"
 
 namespace kanon {
 
@@ -33,10 +33,6 @@ struct ServiceStats {
   uint64_t snapshots = 0;  // snapshot publications (== current epoch)
   size_t queue_depth = 0;  // records waiting right now
 
-  /// Distribution of drained batch sizes — how well batching amortizes the
-  /// tree critical section (mean batch size = inserted / batches).
-  Histogram batch_sizes;
-
   double last_snapshot_build_ms = 0.0;
   double snapshot_build_ms_total = 0.0;  // total time building snapshots
   double snapshot_age_s = 0.0;  // 0 before the first publication
@@ -63,10 +59,7 @@ struct ServiceStats {
   uint64_t merge_escalations = 0; // delta rebuild sites escalated upward
   double last_merge_ms = 0.0;
   double merge_ms_total = 0.0;    // total time in merges
-  /// Distribution of merge durations (over up to the last 64Ki merges;
-  /// `merges` keeps the exact total regardless).
-  Histogram merge_duration_ms;
-  uint64_t merge_samples = 0;  // samples backing merge_duration_ms
+  BucketHistogram merge_duration_ms;  // one observation per merge
 
   // Durability counters (all zero when the service runs without a WAL).
   bool durable = false;          // a WAL directory is configured

@@ -269,7 +269,7 @@ ShardedServiceStats ShardedAnonymizationService::Stats() const {
     total.merge_escalations += s.merge_escalations;
     total.last_merge_ms = std::max(total.last_merge_ms, s.last_merge_ms);
     total.merge_ms_total += s.merge_ms_total;
-    total.merge_samples += s.merge_samples;
+    total.merge_duration_ms.Merge(s.merge_duration_ms);
     total.snapshot_build_ms_total += s.snapshot_build_ms_total;
     total.fragments_reused += s.fragments_reused;
     total.fragments_built += s.fragments_built;

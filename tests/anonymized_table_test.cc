@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <sstream>
 
 #include "anon/rtree_anonymizer.h"
 #include "common/random.h"
@@ -100,6 +102,45 @@ TEST(AnonymizedTableTest, WriteCsvProducesParseableFile) {
   while (std::getline(in, line)) ++lines;
   std::remove(path.c_str());
   EXPECT_EQ(lines, 201u);  // header + one row per record
+}
+
+// Bounds with more than six significant digits must survive the CSV:
+// each printed bound parses back to exactly the box bound, so every box
+// still contains its own records.
+TEST(AnonymizedTableTest, WriteCsvBoundsRoundTripExactly) {
+  Dataset d(Schema::Numeric(2));
+  for (int i = 0; i < 12; ++i) {
+    d.Append({1234567.25 + 0.5 * i, 7654321.125 - 0.25 * i}, i % 3);
+  }
+  auto ps = RTreeAnonymizer().Anonymize(d, 4);
+  ASSERT_TRUE(ps.ok());
+  auto table = AnonymizedTable::FromPartitions(d, *std::move(ps));
+  ASSERT_TRUE(table.ok());
+  const std::string path = ::testing::TempDir() + "/anon_table_exact.csv";
+  ASSERT_TRUE(table->WriteCsv(path, d.schema()).ok());
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);  // header
+  bool saw_exact_min = false;
+  for (RecordId r = 0; r < d.num_records(); ++r) {
+    ASSERT_TRUE(std::getline(in, line));
+    std::istringstream row(line);
+    for (size_t a = 0; a < d.dim(); ++a) {
+      std::string cell;
+      ASSERT_TRUE(std::getline(row, cell, ','));
+      const size_t dots = cell.find("..");
+      ASSERT_NE(dots, std::string::npos) << cell;
+      const std::string lo = cell.substr(0, dots);
+      const std::string hi = cell.substr(dots + 2);
+      EXPECT_EQ(std::strtod(lo.c_str(), nullptr), table->BoxOf(r).lo(a));
+      EXPECT_EQ(std::strtod(hi.c_str(), nullptr), table->BoxOf(r).hi(a));
+      EXPECT_LE(std::strtod(lo.c_str(), nullptr), d.value(r, a)) << cell;
+      EXPECT_GE(std::strtod(hi.c_str(), nullptr), d.value(r, a)) << cell;
+      saw_exact_min = saw_exact_min || lo == "1234567.25";
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_TRUE(saw_exact_min);
 }
 
 }  // namespace

@@ -2,14 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
+
+#include <unistd.h>
 
 #include "common/random.h"
+#include "common/timer.h"
 #include "data/csv.h"
 #include "data/schema.h"
+#include "net/anon_http.h"
+#include "net/http_server.h"
+#include "shard/sharded_service.h"
 
 namespace kanon {
 namespace {
@@ -506,6 +515,104 @@ TEST_F(CliRunTest, SchemaSpecDrivesNames) {
   std::getline(in, header);
   std::remove(spec_path.c_str());
   EXPECT_EQ(header, "alpha,beta,code");
+}
+
+void RestoreDefaultSignals() {
+  std::signal(SIGTERM, SIG_DFL);
+  std::signal(SIGINT, SIG_DFL);
+}
+
+TEST(CliDrainTest, WaitForDrainSignalTimesOut) {
+  cli::InstallDrainSignalHandlers();
+  const Timer timer;
+  EXPECT_EQ(cli::WaitForDrainSignal(0.1), 0);
+  EXPECT_GE(timer.ElapsedSeconds(), 0.1);
+  RestoreDefaultSignals();
+}
+
+TEST(CliDrainTest, WaitForDrainSignalWakesOnTheSignal) {
+  cli::InstallDrainSignalHandlers();
+  // A signal taken before the wait is not lost...
+  std::raise(SIGINT);
+  EXPECT_EQ(cli::WaitForDrainSignal(30), SIGINT);
+  // ...and reinstalling forgets it.
+  cli::InstallDrainSignalHandlers();
+  EXPECT_EQ(cli::WaitForDrainSignal(0.05), 0);
+  // A signal during the wait ends it long before the time limit.
+  std::thread sender([] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::kill(::getpid(), SIGTERM);
+  });
+  const Timer timer;
+  EXPECT_EQ(cli::WaitForDrainSignal(30), SIGTERM);
+  EXPECT_LT(timer.ElapsedSeconds(), 10.0);
+  sender.join();
+  RestoreDefaultSignals();
+}
+
+// `serve --follow` stages checkpoint downloads in a fresh directory under
+// TMPDIR and removes it when it stops.
+TEST(CliFollowTest, StoppedFollowerLeavesNoScratchDirectory) {
+  const std::string root = ::testing::TempDir() + "/cli_follow_scratch";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root + "/tmp");
+  ShardedServiceOptions leader_options;
+  leader_options.service.anonymizer.base_k = 5;
+  leader_options.service.durability.wal_dir = root + "/wal";
+  leader_options.service.durability.checkpoint_every = 50;
+  Domain domain;
+  domain.lo = {0, 0};
+  domain.hi = {100, 100};
+  auto service_or =
+      ShardedAnonymizationService::Create(2, domain, leader_options);
+  ASSERT_TRUE(service_or.ok()) << service_or.status();
+  ShardedAnonymizationService& service = **service_or;
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const double point[] = {rng.UniformDouble(0, 100),
+                            rng.UniformDouble(0, 100)};
+    ASSERT_TRUE(service.Ingest(point).ok());
+  }
+  service.PublishNow();
+  net::AnonHttpFrontend frontend(&service);
+  net::HttpServerOptions http;
+  http.port = 0;
+  net::HttpServer leader(http, [&frontend](const net::HttpRequest& r) {
+    return frontend.Handle(r);
+  });
+  ASSERT_TRUE(leader.Start().ok());
+
+  const char* old_tmpdir = std::getenv("TMPDIR");
+  const std::string saved = old_tmpdir != nullptr ? old_tmpdir : "";
+  ::setenv("TMPDIR", (root + "/tmp").c_str(), 1);
+  cli::ServeOptions o;
+  o.follow = "127.0.0.1:" + std::to_string(leader.bound_port());
+  o.listen = "127.0.0.1:0";
+  o.domain = {{0, 100}, {0, 100}};
+  o.k = 5;
+  o.repl_poll_ms = 10;
+  o.serve_seconds = 1.5;
+  std::ostringstream log;
+  const int rc = cli::RunServe(o, log);
+  if (old_tmpdir != nullptr) {
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  RestoreDefaultSignals();
+  leader.Shutdown();
+  service.Stop();
+
+  EXPECT_EQ(rc, 0) << log.str();
+  EXPECT_NE(log.str().find("bootstraps=1"), std::string::npos) << log.str();
+  const size_t at = log.str().find(" scratch=");
+  ASSERT_NE(at, std::string::npos) << log.str();
+  const std::string scratch =
+      log.str().substr(at + 9, log.str().find('\n', at) - at - 9);
+  EXPECT_EQ(scratch.rfind(root + "/tmp/kanon-follower-", 0), 0u) << scratch;
+  EXPECT_FALSE(std::filesystem::exists(scratch)) << scratch;
+  EXPECT_TRUE(std::filesystem::is_empty(root + "/tmp"));
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

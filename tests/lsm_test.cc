@@ -276,7 +276,8 @@ TEST(LsmServiceTest, FlushBoundarySnapshotsMatchFromScratchRebuild) {
   EXPECT_TRUE(stats.memtable_enabled);
   EXPECT_GE(stats.merges, 3u);
   EXPECT_EQ(stats.memtable_records, 0u);  // Stop force-flushed
-  EXPECT_EQ(stats.merge_samples, stats.merges);
+  EXPECT_EQ(stats.merge_duration_ms.count(), stats.merges);
+  EXPECT_NEAR(stats.merge_duration_ms.sum(), stats.merge_ms_total, 1e-6);
   EXPECT_GE(stats.queue_wait_ms, 0.0);
   EXPECT_GE(stats.apply_ms, 0.0);
   const std::string formatted = FormatServiceStats(stats);

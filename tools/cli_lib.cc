@@ -3,13 +3,19 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <thread>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include "common/env.h"
@@ -23,18 +29,65 @@ namespace kanon::cli {
 
 namespace {
 
-/// Set by the SIGTERM/SIGINT handler; RunServe polls it while the HTTP
-/// server is up and starts the graceful drain when it flips.
+/// The last SIGTERM/SIGINT received. The handler also writes a byte to the
+/// self-pipe, which is what wakes WaitForDrainSignal. The pipe is created
+/// once and lives as long as the process, like the handlers that use it.
 std::atomic<int> g_signal{0};
+int g_drain_pipe[2] = {-1, -1};
 
-void OnSignal(int sig) { g_signal.store(sig, std::memory_order_relaxed); }
+void OnSignal(int sig) {
+  g_signal.store(sig, std::memory_order_relaxed);
+  const char byte = 0;
+  (void)!::write(g_drain_pipe[1], &byte, 1);
+}
 
-void InstallDrainSignalHandlers() {
-  struct sigaction sa = {};
-  sa.sa_handler = OnSignal;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
+const char* DrainReason(int sig) {
+  if (sig == 0) return "--serve-seconds elapsed";
+  return sig == SIGTERM ? "SIGTERM" : "SIGINT";
+}
+
+/// A fresh checkpoint-staging directory for a follower under TMPDIR,
+/// removed with its contents on destruction. Empty path = creation failed.
+struct ScratchDir {
+  std::error_code ignored;
+  std::string path = (std::filesystem::temp_directory_path(ignored) /
+                      "kanon-follower-XXXXXX")
+                         .string();
+  ScratchDir() {
+    if (::mkdtemp(path.data()) == nullptr) path.clear();
+  }
+  ~ScratchDir() {
+    if (!path.empty()) std::filesystem::remove_all(path, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+};
+
+/// The listener settings both roles share; false (after logging) on a
+/// malformed --listen.
+bool ListenOptions(const ServeOptions& options, net::HttpServerOptions* http,
+                   std::ostream& log) {
+  uint16_t port = 0;
+  if (!ParseListenAddress(options.listen, &http->host, &port)) {
+    log << "invalid --listen address: " << options.listen << "\n";
+    return false;
+  }
+  http->port = port;
+  http->num_threads = options.http_threads;
+  http->parser.max_body_bytes = options.max_body_bytes;
+  return true;
+}
+
+void LogFinalSnapshot(const StitchedSnapshot& stitched, std::ostream& log) {
+  const StitchedInfo& info = stitched.info();
+  const PartitionSet base_release = stitched.Release(info.base_k);
+  log << "final snapshot: epoch=" << info.epoch
+      << " records=" << info.records
+      << " partitions=" << base_release.num_partitions()
+      << " min_partition=" << base_release.min_partition_size()
+      << " max_partition=" << base_release.max_partition_size()
+      << " avgNCP=" << AverageBoxNcp(base_release, stitched.domain())
+      << "\n";
 }
 
 /// Builds the schema (from a spec file, an explicit column count, or the
@@ -248,6 +301,33 @@ int Run(const CliOptions& options, std::ostream& log) {
       << table->num_partitions() << " partitions) to " << options.output
       << "\n";
   return 0;
+}
+
+void InstallDrainSignalHandlers() {
+  if (g_drain_pipe[0] < 0) {
+    KANON_CHECK(::pipe2(g_drain_pipe, O_CLOEXEC | O_NONBLOCK) == 0);
+  }
+  char stale[64];
+  while (::read(g_drain_pipe[0], stale, sizeof(stale)) > 0) {
+  }
+  g_signal.store(0, std::memory_order_relaxed);
+  struct sigaction sa = {};
+  sa.sa_handler = OnSignal;
+  sigemptyset(&sa.sa_mask);
+  sigaction(SIGTERM, &sa, nullptr);
+  sigaction(SIGINT, &sa, nullptr);
+}
+
+int WaitForDrainSignal(double serve_seconds) {
+  const Timer serving;
+  pollfd pipe = {g_drain_pipe[0], POLLIN, 0};
+  for (;;) {  // until the pipe is readable; EINTR just polls again
+    const double left_ms = (serve_seconds - serving.ElapsedSeconds()) * 1e3;
+    if (serve_seconds > 0.0 && left_ms <= 0.0) return 0;
+    const int timeout_ms =
+        serve_seconds > 0.0 ? static_cast<int>(std::ceil(left_ms)) : -1;
+    if (::poll(&pipe, 1, timeout_ms) > 0) return g_signal.load();
+  }
 }
 
 bool ParseListenAddress(const std::string& spec, std::string* host,
@@ -480,6 +560,12 @@ namespace {
 /// --serve-seconds, the "final snapshot:" report) so the same harnesses
 /// drive leaders and followers.
 int RunFollower(const ServeOptions& options, std::ostream& log) {
+  const ScratchDir scratch;  // declared first: removed after follower.Stop()
+  if (scratch.path.empty()) {
+    log << "cannot create a scratch directory: " << std::strerror(errno)
+        << "\n";
+    return 1;
+  }
   std::string leader = options.follow;
   if (leader.rfind("http://", 0) == 0) leader = leader.substr(7);
   if (!leader.empty() && leader.back() == '/') leader.pop_back();
@@ -503,30 +589,22 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
   fopts.dp_lifetime_budget = options.dp_lifetime_budget;
   fopts.dp_key = options.dp_key;
   fopts.dp_metrics_utility = options.dp_metrics_utility;
-  fopts.scratch_dir =
-      "/tmp/kanon-follower-" + std::to_string(::getpid());
+  fopts.scratch_dir = scratch.path;
 
   net::ReplicatedFollower follower(std::move(domain), fopts);
   net::FollowerFrontend frontend(&follower);
 
   net::HttpServerOptions http_options;
-  uint16_t port = 0;
-  if (!ParseListenAddress(options.listen, &http_options.host, &port)) {
-    log << "invalid --listen address: " << options.listen << "\n";
-    return 1;
-  }
-  http_options.port = port;
-  http_options.num_threads = options.http_threads;
-  http_options.parser.max_body_bytes = options.max_body_bytes;
+  if (!ListenOptions(options, &http_options, log)) return 1;
   net::HttpServer server(http_options,
                          [&frontend](const net::HttpRequest& request) {
                            return frontend.Handle(request);
                          });
+  frontend.SetServerStats([&server] { return server.stats(); });
   if (auto s = server.Start(); !s.ok()) {
     log << s << "\n";
     return 1;
   }
-  g_signal.store(0, std::memory_order_relaxed);
   InstallDrainSignalHandlers();
   log << "listening on " << server.host() << ":" << server.bound_port()
       << " (" << (server.using_epoll() ? "epoll" : "poll") << ", "
@@ -534,21 +612,10 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
   log << "following http://" << fopts.leader_host << ":"
       << fopts.leader_port << " max_staleness_ms="
       << options.max_staleness_ms << " stale_reads="
-      << options.stale_reads << "\n";
+      << options.stale_reads << " scratch=" << scratch.path << "\n";
   follower.Start();
 
-  Timer serving;
-  while (g_signal.load(std::memory_order_relaxed) == 0) {
-    if (options.serve_seconds > 0.0 &&
-        serving.ElapsedSeconds() >= options.serve_seconds) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  const int sig = g_signal.load(std::memory_order_relaxed);
-  log << "draining ("
-      << (sig != 0 ? (sig == SIGTERM ? "SIGTERM" : "SIGINT")
-                   : "--serve-seconds elapsed")
+  log << "draining (" << DrainReason(WaitForDrainSignal(options.serve_seconds))
       << ")\n";
   server.Shutdown();
   follower.Stop();
@@ -567,15 +634,7 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
            "follower could replicate\n";
     return 0;
   }
-  const StitchedInfo& info = stitched->info();
-  const PartitionSet base_release = stitched->Release(info.base_k);
-  log << "final snapshot: epoch=" << info.epoch
-      << " records=" << info.records
-      << " partitions=" << base_release.num_partitions()
-      << " min_partition=" << base_release.min_partition_size()
-      << " max_partition=" << base_release.max_partition_size()
-      << " avgNCP=" << AverageBoxNcp(base_release, stitched->domain())
-      << "\n";
+  LogFinalSnapshot(*stitched, log);
   return 0;
 }
 
@@ -707,14 +766,7 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
   std::unique_ptr<net::HttpServer> server;
   if (!options.listen.empty()) {
     net::HttpServerOptions http_options;
-    uint16_t port = 0;
-    if (!ParseListenAddress(options.listen, &http_options.host, &port)) {
-      log << "invalid --listen address: " << options.listen << "\n";
-      return 1;
-    }
-    http_options.port = port;
-    http_options.num_threads = options.http_threads;
-    http_options.parser.max_body_bytes = options.max_body_bytes;
+    if (!ListenOptions(options, &http_options, log)) return 1;
     net::AnonHttpOptions frontend_options;
     frontend_options.dp_budget = options.dp_budget;
     frontend_options.dp_lifetime_budget = options.dp_lifetime_budget;
@@ -732,7 +784,6 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
       return 1;
     }
     frontend->SetBackendLabel(server->using_epoll() ? "epoll" : "poll");
-    g_signal.store(0, std::memory_order_relaxed);
     InstallDrainSignalHandlers();
     log << "listening on " << server->host() << ":" << server->bound_port()
         << " (" << (server->using_epoll() ? "epoll" : "poll") << ", "
@@ -776,19 +827,8 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
     // then drain: the server finishes in-flight requests — every 200 the
     // client saw is acknowledged — before the service flushes its WAL and
     // publishes the final snapshot. No acknowledged record is lost.
-    Timer serving;
-    while (g_signal.load(std::memory_order_relaxed) == 0) {
-      if (options.serve_seconds > 0.0 &&
-          serving.ElapsedSeconds() >= options.serve_seconds) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    const int sig = g_signal.load(std::memory_order_relaxed);
     log << "draining ("
-        << (sig != 0 ? (sig == SIGTERM ? "SIGTERM" : "SIGINT")
-                     : "--serve-seconds elapsed")
-        << ")\n";
+        << DrainReason(WaitForDrainSignal(options.serve_seconds)) << ")\n";
     server->Shutdown();
   }
   service.Stop();
@@ -847,15 +887,8 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
                ? 0
                : 1;
   }
+  LogFinalSnapshot(*stitched, log);
   const StitchedInfo& info = stitched->info();
-  const PartitionSet base_release = stitched->Release(info.base_k);
-  log << "final snapshot: epoch=" << info.epoch
-      << " records=" << info.records
-      << " partitions=" << base_release.num_partitions()
-      << " min_partition=" << base_release.min_partition_size()
-      << " max_partition=" << base_release.max_partition_size()
-      << " avgNCP=" << AverageBoxNcp(base_release, stitched->domain())
-      << "\n";
 
   // A shard smaller than k1 caps what the stitched release can guarantee
   // for its slice, exactly like info.records caps the unsharded check.

@@ -163,6 +163,15 @@ bool ParseListenAddress(const std::string& spec, std::string* host,
 /// or missing required flags.
 bool ParseServeArgs(int argc, const char* const* argv, ServeOptions* options);
 
+/// Routes SIGTERM/SIGINT to WaitForDrainSignal (and forgets any signal
+/// taken before). Call once the server is listening.
+void InstallDrainSignalHandlers();
+
+/// Blocks until SIGTERM/SIGINT arrives or `serve_seconds` pass (<= 0: no
+/// time limit). Returns the signal number, or 0 when the time ran out. The
+/// handler wakes it through a self-pipe, so the drain starts at the signal.
+int WaitForDrainSignal(double serve_seconds);
+
 /// Streams the input through an AnonymizationService with the configured
 /// producer count and target rate, then prints ServiceStats and the final
 /// snapshot's releases. Returns the process exit code.

@@ -44,8 +44,9 @@
 #                               --follow read replica; each iteration
 #                               SIGKILLs the leader mid-tail and restarts it
 #                               on the same port. The follower must
-#                               reconnect without operator action and
-#                               converge to a byte-identical /release.
+#                               reconnect without operator action,
+#                               converge to a byte-identical /release and
+#                               export the kanon_http_requests_total series.
 #                               (Replaces the recover-only loop; fault-seed
 #                               composition does not apply here.)
 
@@ -189,8 +190,15 @@ if [ -n "${KANON_REPL:-}" ]; then
   [ -n "$CONVERGED" ] || fail "follower never converged to the leader's \
 release (leader: ${L:0:120}... follower: ${F:0:120}...)"
 
-  RECONNECTS=$(curl -s -m 5 "http://127.0.0.1:$FOLLOWER_PORT/metrics" \
-    | sed -n 's/^kanon_repl_reconnects_total \([0-9]*\).*/\1/p')
+  curl -s -m 5 "http://127.0.0.1:$FOLLOWER_PORT/metrics" \
+    > "$WORKDIR/follower_metrics.txt"
+  # The follower answered the /release polls above: it must export the
+  # same request series as the leader.
+  grep -q '^kanon_http_requests_total{endpoint="release",code="200"}' \
+    "$WORKDIR/follower_metrics.txt" \
+    || fail "follower /metrics has no kanon_http_requests_total series"
+  RECONNECTS=$(sed -n 's/^kanon_repl_reconnects_total \([0-9]*\).*/\1/p' \
+    "$WORKDIR/follower_metrics.txt")
   [ -n "$RECONNECTS" ] && [ "$RECONNECTS" -ge 1 ] \
     || fail "follower reconnects=$RECONNECTS after $ITERATIONS leader kills"
   HEALTH=$(curl -s -m 5 -o /dev/null -w '%{http_code}' \

@@ -4,7 +4,8 @@
 # assert a clean graceful drain:
 #
 #   1. every endpoint answers with the documented shape (ingest ack,
-#      release JSON, healthz, Prometheus /metrics),
+#      release JSON, healthz, Prometheus /metrics whose request-latency
+#      histograms keep fixed `le` bounds and +Inf == _count),
 #   2. the process exits 0 on SIGTERM after printing "draining", and
 #   3. zero lost acknowledged records: the final snapshot holds at least
 #      every record a client saw {"accepted":N} for (here: exactly, since
@@ -71,6 +72,21 @@ WAL_DIR="$WORKDIR/wal"
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
+# Fails unless every kanon_http_request_latency_ms label set in the scrape
+# has a +Inf bucket equal to its _count.
+check_latency_histograms() {
+  awk '/^kanon_http_request_latency_ms_bucket.*le="[+]Inf"/ {
+         k = $1; sub(/_bucket/, "", k); sub(/,le="[+]Inf"/, "", k); inf[k] = $2 }
+       /^kanon_http_request_latency_ms_count/ {
+         k = $1; sub(/_count/, "", k); n++; if (inf[k] != $2) bad = 1 }
+       END { exit bad || n == 0 || n != length(inf) }' "$1" \
+    || fail "+Inf != _count for kanon_http_request_latency_ms in $1"
+}
+latency_le_set() {
+  grep -o '^kanon_http_request_latency_ms_bucket.*le="[^"]*"' "$1" \
+    | sed 's/.*le=//' | sort -u
+}
+
 # --- Start the server (ephemeral port, WAL on, HTTP-only ingest) ---------
 "$CLI" serve --listen 127.0.0.1:0 --domain "0:1000,0:1000" --k "$K" \
   --snapshot-every 500 --wal-dir "$WAL_DIR" $SHARD_ARGS > "$LOG" 2>&1 &
@@ -128,6 +144,14 @@ for metric in kanon_inserted_total kanon_wal_appended_total \
 done
 grep -q "kanon_inserted_total $ROWS" "$WORKDIR/metrics.txt" \
   || fail "/metrics inserted_total != $ROWS"
+# Fixed buckets: more traffic must not move the le bounds.
+curl -sS -m 10 -o /dev/null "$BASE/release"
+curl -sS -m 10 "$BASE/metrics" > "$WORKDIR/metrics2.txt"
+check_latency_histograms "$WORKDIR/metrics.txt"
+check_latency_histograms "$WORKDIR/metrics2.txt"
+[ "$(latency_le_set "$WORKDIR/metrics.txt")" = \
+  "$(latency_le_set "$WORKDIR/metrics2.txt")" ] \
+  || fail "kanon_http_request_latency_ms le bounds moved between scrapes"
 grep -q "^kanon_shards $SHARDS$" "$WORKDIR/metrics.txt" \
   || fail "/metrics kanon_shards != $SHARDS"
 if [ "$SHARDS" -gt 1 ]; then
